@@ -128,9 +128,8 @@
 // verifies (nrlog.Verify) and archive + anchor reproduce the full chain
 // for arbitration. Participant.EvidenceArchives lists the archives,
 // Participant.StorageUsage reports the WAL's bounded on-disk size, and
-// Participant.Compact forces a cycle. WithLegacyStorage keeps the old
-// one-file-per-record, fsync-per-event layout as a measured baseline
-// (cmd/b2bbench -exp E17). See docs/ARCHITECTURE.md, "Durability plane".
+// Participant.Compact forces a cycle. See docs/ARCHITECTURE.md,
+// "Durability plane".
 //
 // # Multi-tenant quotas and runtime introspection
 //

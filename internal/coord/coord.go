@@ -243,13 +243,12 @@ type Engine struct {
 	pv   PagedValidator
 	memo *sigMemo
 
-	// blog/bstore are the optional batched-durability surfaces of the log
-	// and store (the durability plane): records are staged without
-	// per-record fsyncs and one barrier() per protocol step makes the
-	// whole batch durable in a single group-commit fsync. Nil when the
-	// configured log/store do not support deferral.
-	blog   nrlog.Batched
-	bstore store.Batched
+	// blog is the log's optional batched-durability surface (the
+	// durability plane): records are staged without per-record fsyncs and
+	// one barrier() per protocol step makes the whole batch — together
+	// with the store's deferred records — durable in a single group-commit
+	// fsync. Nil when the configured log does not support deferral.
+	blog nrlog.Batched
 
 	mu           sync.Mutex
 	bootstrapped bool
@@ -333,7 +332,6 @@ func New(cfg Config) (*Engine, error) {
 		changed:      make(chan struct{}),
 	}
 	en.blog, _ = cfg.Log.(nrlog.Batched)
-	en.bstore, _ = cfg.Store.(store.Batched)
 	en.pv, _ = cfg.Validator.(PagedValidator)
 	return en, nil
 }
@@ -660,17 +658,16 @@ func (en *Engine) snapshotEvery() int {
 }
 
 // commitCheckpointLocked persists the checkpoint of a just-committed run,
-// staged for the caller's durability barrier. On a batched store (the
-// durability plane) update-mode runs persist a delta — the update bytes
-// plus the predecessor tuple — so the write cost tracks the change, not
-// the object; every SnapshotEvery deltas (and for every overwrite) a full
-// snapshot bounds the recovery chain. Non-batched stores keep the original
-// full-snapshot-per-commit behaviour. en.mu must be held: holding it
-// across the staging keeps the on-disk chain in agreed order.
+// staged for the caller's durability barrier. Update-mode runs persist a
+// delta — the update bytes plus the predecessor tuple — so the write cost
+// tracks the change, not the object; every SnapshotEvery deltas (and for
+// every overwrite) a full snapshot bounds the recovery chain. en.mu must be
+// held: holding it across the staging keeps the on-disk chain in agreed
+// order.
 func (en *Engine) commitCheckpointLocked(mode wire.Mode, update []byte, pred tuple.State) error {
-	if mode == wire.ModeUpdate && en.bstore != nil && en.deltaRuns < en.snapshotEvery() {
+	if mode == wire.ModeUpdate && en.deltaRuns < en.snapshotEvery() {
 		en.deltaRuns++
-		return en.bstore.SaveCheckpointDeferred(store.Checkpoint{
+		return en.cfg.Store.SaveCheckpointDeferred(store.Checkpoint{
 			Object:  en.cfg.Object,
 			Tuple:   en.agreed,
 			Group:   en.group,
@@ -682,44 +679,29 @@ func (en *Engine) commitCheckpointLocked(mode wire.Mode, update []byte, pred tup
 		})
 	}
 	en.deltaRuns = 0
-	if en.bstore != nil {
-		return en.bstore.SaveCheckpointDeferred(en.snapshotLocked())
-	}
-	return en.cfg.Store.SaveCheckpoint(en.snapshotLocked())
+	return en.cfg.Store.SaveCheckpointDeferred(en.snapshotLocked())
 }
 
 // barrier makes every record staged so far durable in one group-commit
-// fsync (no-op when the log/store are not batched: each record was already
-// synced individually).
+// fsync (a log without a batched surface synced each entry already).
 func (en *Engine) barrier() error {
 	if en.blog != nil {
 		if err := en.blog.Barrier(); err != nil {
 			return fmt.Errorf("coord: durability barrier: %w", err)
 		}
 	}
-	if en.bstore != nil {
-		if err := en.bstore.Barrier(); err != nil {
-			return fmt.Errorf("coord: durability barrier: %w", err)
-		}
+	if err := en.cfg.Store.Barrier(); err != nil {
+		return fmt.Errorf("coord: durability barrier: %w", err)
 	}
 	return nil
 }
 
-// saveRun persists a run record, staged when the store supports deferral.
-func (en *Engine) saveRun(r store.RunRecord) error {
-	if en.bstore != nil {
-		return en.bstore.SaveRunDeferred(r)
-	}
-	return en.cfg.Store.SaveRun(r)
-}
+// saveRun stages a run record for the caller's durability barrier.
+func (en *Engine) saveRun(r store.RunRecord) error { return en.cfg.Store.SaveRunDeferred(r) }
 
-// deleteRun removes a run record, staged when the store supports deferral.
-func (en *Engine) deleteRun(runID string) error {
-	if en.bstore != nil {
-		return en.bstore.DeleteRunDeferred(runID)
-	}
-	return en.cfg.Store.DeleteRun(runID)
-}
+// deleteRun stages a run record's removal for the caller's durability
+// barrier.
+func (en *Engine) deleteRun(runID string) error { return en.cfg.Store.DeleteRunDeferred(runID) }
 
 // logEvidence appends to the non-repudiation log, panicking never: logging
 // failures surface as errors on the protocol operation in progress.
@@ -731,13 +713,7 @@ func (en *Engine) logEvidence(runID, kind string, dir nrlog.Direction, payload [
 // number, chaining the evidence of a pipelined burst per sequence. The
 // entry is durable on return.
 func (en *Engine) logEvidenceSeq(runID string, seq uint64, kind string, dir nrlog.Direction, payload []byte) error {
-	var err error
-	if sl, ok := en.cfg.Log.(nrlog.SeqAppender); ok {
-		_, err = sl.AppendSeq(runID, seq, en.cfg.Object, kind, en.cfg.Ident.ID(), dir, payload)
-	} else {
-		_, err = en.cfg.Log.Append(runID, en.cfg.Object, kind, en.cfg.Ident.ID(), dir, payload)
-	}
-	if err != nil {
+	if _, err := en.cfg.Log.AppendSeq(runID, seq, en.cfg.Object, kind, en.cfg.Ident.ID(), dir, payload); err != nil {
 		return fmt.Errorf("coord: recording evidence: %w", err)
 	}
 	return nil

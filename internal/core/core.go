@@ -91,20 +91,7 @@ type Config struct {
 	// Drain); the transfer plane invokes it at the start of a catch-up so
 	// parked traffic lands before state transfer decides what is missing.
 	Drain func(ctx context.Context) (int, error)
-	// LegacyDispatch selects the pre-runtime dispatch: one dedicated
-	// goroutine and a 1024-slot inbox channel per bound object, with the
-	// transport's delivery goroutine blocking on a full inbox. It exists
-	// only as the measured baseline for the E20 experiment
-	// (cmd/b2bbench); quota shedding and per-sender parking are not
-	// applied on this path.
-	LegacyDispatch bool
 }
-
-// shardDepth bounds each object's inbound queue in legacy dispatch mode; a
-// full queue exerts backpressure on the transport's delivery goroutine
-// (head-of-line-blocking every object on the connection — the behaviour the
-// multi-tenant runtime replaces with per-sender parking).
-const shardDepth = 1024
 
 // inboundEnv is one routed protocol message awaiting its object's turn.
 type inboundEnv struct {
@@ -126,9 +113,6 @@ type binding struct {
 	engine  *coord.Engine
 	manager *group.Manager
 	xfer    *xfer.Manager
-
-	// Legacy dispatch only: dedicated inbox drained by runShard.
-	inbox chan inboundEnv
 
 	// handleFn is what the scheduler invokes per message — b.handle once
 	// materialized. Indirect so scheduler tests can drive the sched with
@@ -183,9 +167,6 @@ type Participant struct {
 	deposit DepositFn
 
 	sched *sched
-
-	stop chan struct{}
-	wg   sync.WaitGroup
 }
 
 // New creates a participant and installs its dispatcher on the connection.
@@ -203,10 +184,9 @@ func New(cfg Config) (*Participant, error) {
 	p := &Participant{
 		cfg:     cfg,
 		objects: make(map[string]*binding),
-		stop:    make(chan struct{}),
 	}
 	p.sendConn = &spillConn{Conn: cfg.Conn, p: p}
-	p.sched = newSched(cfg.Log, cfg.Ident.ID(), cfg.Quotas, !cfg.LegacyDispatch)
+	p.sched = newSched(cfg.Log, cfg.Ident.ID(), cfg.Quotas)
 	cfg.Conn.SetHandler(p.dispatch)
 	return p, nil
 }
@@ -254,19 +234,8 @@ func (p *Participant) Bind(object string, v coord.Validator, mv group.Validator)
 func (p *Participant) BindLazy(object string, v coord.Validator, mv group.Validator) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	b, err := p.registerLocked(object, v, mv)
-	if err != nil {
-		return err
-	}
-	if p.cfg.LegacyDispatch {
-		// The legacy baseline has no lazy path: materialise eagerly so the
-		// E20 comparison charges it the per-object goroutine and inbox.
-		if err := p.materializeLocked(b, false); err != nil {
-			delete(p.objects, object)
-			return err
-		}
-	}
-	return nil
+	_, err := p.registerLocked(object, v, mv)
+	return err
 }
 
 // registerLocked records a binding stub; p.mu must be held.
@@ -285,9 +254,8 @@ func (p *Participant) registerLocked(object string, v coord.Validator, mv group.
 	return b, nil
 }
 
-// materializeLocked constructs a binding's engine/manager/xfer trio (and, in
-// legacy dispatch mode, its inbox goroutine). With restore set — the lazy
-// paths — a persisted checkpoint is restored into the fresh engine;
+// materializeLocked constructs a binding's engine/manager/xfer trio. With
+// restore set — the lazy paths — a persisted checkpoint is restored into the fresh engine;
 // ErrNoCheckpoint (never bootstrapped) leaves it unbootstrapped, any other
 // restore failure is recorded as evidence and surfaces on an explicit
 // Restore. p.mu must be held.
@@ -358,38 +326,7 @@ func (p *Participant) materializeLocked(b *binding, restore bool) error {
 	b.manager = mgr
 	b.engine = en
 	b.handleFn = b.handle
-	if p.cfg.LegacyDispatch {
-		b.inbox = make(chan inboundEnv, shardDepth)
-		p.wg.Add(1)
-		go p.runShard(b)
-	}
 	return nil
-}
-
-// runShard serially drains one object's inbound queue (legacy dispatch mode
-// only — the E20 baseline).
-func (p *Participant) runShard(b *binding) {
-	defer p.wg.Done()
-	for {
-		select {
-		case <-p.stop:
-			// Drain the backlog before exiting: the transport acked and
-			// journaled these as seen before enqueueing, so a message
-			// dropped here would never be retransmitted — delivered zero
-			// times despite the once-only contract. Replies onto the
-			// already-closed connection fail harmlessly.
-			for {
-				select {
-				case msg := <-b.inbox:
-					b.handle(msg)
-				default:
-					return
-				}
-			}
-		case msg := <-b.inbox:
-			b.handle(msg)
-		}
-	}
 }
 
 // materialized returns the binding for object with its protocol machinery
@@ -537,14 +474,6 @@ func (p *Participant) dispatch(from string, payload []byte) {
 		_, _ = p.cfg.Log.Append("", env.Object, "unbound-object", p.cfg.Ident.ID(), nrlog.DirReceived, payload)
 		return
 	}
-	if b.inbox != nil {
-		// Legacy baseline: blocking enqueue onto the object's own goroutine.
-		select {
-		case b.inbox <- inboundEnv{from: from, env: env}:
-		case <-p.stop:
-		}
-		return
-	}
 	p.sched.enqueue(b, from, env)
 }
 
@@ -573,10 +502,8 @@ func (p *Participant) Close() error {
 			b.xfer.Close()
 		}
 	}
-	close(p.stop)
 	p.sched.stop(objs)
 	err := p.cfg.Conn.Close()
-	p.wg.Wait()
 	p.sched.wait()
 	return err
 }

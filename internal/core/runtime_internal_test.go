@@ -29,7 +29,7 @@ func testEnv(object string, n int) wire.Envelope {
 
 func newTestSched(t *testing.T, q QuotaPolicy) *sched {
 	t.Helper()
-	s := newSched(nrlog.NewMemory(clock.NewSim(time.Unix(0, 0))), "self", q, true)
+	s := newSched(nrlog.NewMemory(clock.NewSim(time.Unix(0, 0))), "self", q)
 	t.Cleanup(func() {
 		s.stop(nil)
 		s.wait()
@@ -216,7 +216,7 @@ func TestSchedRoundRobinFairness(t *testing.T) {
 
 func TestSchedQuotaShed(t *testing.T) {
 	log := nrlog.NewMemory(clock.NewSim(time.Unix(0, 0)))
-	s := newSched(log, "self", QuotaPolicy{Workers: 1, MaxPendingBytes: 1}, true)
+	s := newSched(log, "self", QuotaPolicy{Workers: 1, MaxPendingBytes: 1})
 	defer func() {
 		s.stop(nil)
 		s.wait()
@@ -252,7 +252,7 @@ func TestSchedQuotaShed(t *testing.T) {
 func TestSchedStopDrainsEverything(t *testing.T) {
 	// Queued and parked messages were acked as seen by the transport before
 	// enqueue; stop must hand every one of them to a handler, exactly once.
-	s := newSched(nrlog.NewMemory(clock.NewSim(time.Unix(0, 0))), "self", QuotaPolicy{Workers: 2}, true)
+	s := newSched(nrlog.NewMemory(clock.NewSim(time.Unix(0, 0))), "self", QuotaPolicy{Workers: 2})
 	var handled atomic.Int64
 	bindings := make([]*binding, 3)
 	for i := range bindings {
@@ -274,8 +274,7 @@ func TestSchedStopDrainsEverything(t *testing.T) {
 }
 
 func TestSessionGateQuotas(t *testing.T) {
-	s := newSched(nrlog.NewMemory(clock.NewSim(time.Unix(0, 0))), "self",
-		QuotaPolicy{MaxSessions: 1, MaxTotalSessions: 2}, false)
+	s := newTestSched(t, QuotaPolicy{MaxSessions: 1, MaxTotalSessions: 2})
 	a, b, c := &binding{object: "a"}, &binding{object: "b"}, &binding{object: "c"}
 	ga := &sessionGate{s: s, b: a}
 	gb := &sessionGate{s: s, b: b}

@@ -42,7 +42,7 @@ type Party struct {
 	Store       store.Store
 	Part        *core.Participant
 	// Plane is the party's durability plane when the world was built with
-	// Options.StorageDir (nil for in-memory and legacy storage). SegLog is
+	// Options.StorageDir (nil for in-memory storage). SegLog is
 	// the plane-backed evidence log (anchor/archive inspection).
 	Plane  *store.Plane
 	SegLog *nrlog.Segmented
@@ -104,20 +104,12 @@ type Options struct {
 	// lab — short enough to keep in-memory latency sane, long enough that
 	// a protocol step's ack and reply coalesce).
 	BatchWindow time.Duration
-	// NoTSA disables time-stamping (crypto ablation experiments). Signed
-	// messages then fail verification, so it only makes sense together with
-	// measuring raw signing cost, not protocol runs.
-	Start time.Time
 	// StorageDir, when set, gives every party durable storage under
 	// <StorageDir>/<id>: the durability plane (segment WAL shared by
-	// checkpoints, run records and evidence) by default, or the legacy
-	// per-event-fsync stores with LegacyStorage — the baseline the E17
-	// experiment measures the plane against.
+	// checkpoints, run records and evidence).
 	StorageDir string
 	// Durability tunes the plane (zero: defaults).
 	Durability store.Policy
-	// LegacyStorage selects store.File + nrlog.File under StorageDir.
-	LegacyStorage bool
 	// FS injects a filesystem under a party's plane; parties not in the
 	// map use the real filesystem. For disk-fault injection prefer
 	// DiskFaults, which wraps this (or the real filesystem) in a
@@ -148,10 +140,6 @@ type Options struct {
 	// Quotas applies per-group resource quotas and admission control to
 	// every party (zero: uncapped).
 	Quotas core.QuotaPolicy
-	// LegacyDispatch selects the pre-runtime per-object-goroutine dispatch
-	// in every party — the measured baseline for the E20 multi-tenant
-	// runtime experiment.
-	LegacyDispatch bool
 	// Relay names the party hosting the relay mailbox service (store-and-
 	// forward for offline members). Every other party gets a relay client:
 	// its catch-up drains the mailbox, and traffic over
@@ -164,6 +152,10 @@ type Options struct {
 	RelayMaxMsgs  int
 	RelayMaxBytes int64
 }
+
+// epoch is the sim clock's start: every lab world begins on the paper's
+// conference date, so evidence timestamps are stable across runs.
+var epoch = time.Date(2002, 6, 23, 0, 0, 0, 0, time.UTC)
 
 // DiskSchedule arms a party's faults.DiskFS at world construction (both
 // counters 1-based; zero never fires). The zero schedule installs a clean
@@ -212,14 +204,10 @@ type binder struct {
 // CA/TSA and holds every other party's certificate (certificates are
 // exchanged out of band between contracting organisations).
 func NewWorld(opts Options, ids ...string) (*World, error) {
-	start := opts.Start
-	if start.IsZero() {
-		start = time.Date(2002, 6, 23, 0, 0, 0, 0, time.UTC)
-	}
 	if opts.RetryInterval == 0 {
 		opts.RetryInterval = 25 * time.Millisecond
 	}
-	clk := clock.NewSim(start)
+	clk := clock.NewSim(epoch)
 	seed32 := func(name string) []byte {
 		h := crypto.Hash([]byte(fmt.Sprintf("lab-seed-%d-%s", opts.Seed, name)))
 		return h[:]
@@ -336,18 +324,7 @@ func (w *World) buildParty(id string, fs store.FS, disk *faults.DiskFS) (*Party,
 		Interceptor: ic,
 		Disk:        disk,
 	}
-	switch {
-	case opts.StorageDir != "" && opts.LegacyStorage:
-		fl, err := nrlog.OpenFile(filepath.Join(opts.StorageDir, id, "evidence.nrlog"), w.Clk)
-		if err != nil {
-			return nil, err
-		}
-		fst, err := store.OpenFile(filepath.Join(opts.StorageDir, id, "store"))
-		if err != nil {
-			return nil, err
-		}
-		p.Log, p.Store = fl, fst
-	case opts.StorageDir != "":
+	if opts.StorageDir != "" {
 		pl, err := store.OpenPlane(filepath.Join(opts.StorageDir, id), opts.Durability, fs)
 		if err != nil {
 			return nil, err
@@ -359,7 +336,7 @@ func (w *World) buildParty(id string, fs store.FS, disk *faults.DiskFS) (*Party,
 			return nil, err
 		}
 		p.Plane = pl
-	default:
+	} else {
 		p.Log, p.Store = nrlog.NewMemory(w.Clk), store.NewMemory()
 	}
 	snapEvery := opts.SnapshotEvery
@@ -383,7 +360,6 @@ func (w *World) buildParty(id string, fs store.FS, disk *faults.DiskFS) (*Party,
 		Transfer:         opts.Transfer,
 		PageSize:         opts.PageSize,
 		Quotas:           opts.Quotas,
-		LegacyDispatch:   opts.LegacyDispatch,
 	}
 	// Relay plane: members get sealing keys and a prekey directory before
 	// the runtime is built (the directory feeds Welcome construction, the
@@ -498,9 +474,6 @@ func (w *World) Close() {
 		if p.Plane != nil {
 			_ = p.Plane.Close()
 		}
-		if fl, ok := p.Log.(*nrlog.File); ok {
-			_ = fl.Close()
-		}
 	}
 	w.Net.Close()
 }
@@ -574,9 +547,6 @@ func (w *World) Crash(id string) {
 	if p.Plane != nil {
 		_ = p.Plane.Close()
 	}
-	if fl, ok := p.Log.(*nrlog.File); ok {
-		_ = fl.Close()
-	}
 }
 
 // Restart rebuilds a crashed party over its storage directory: fresh stack,
@@ -589,7 +559,7 @@ func (w *World) Crash(id string) {
 func (w *World) Restart(id string) (*Party, error) {
 	var fs store.FS
 	var disk *faults.DiskFS
-	if w.opts.StorageDir != "" && !w.opts.LegacyStorage {
+	if w.opts.StorageDir != "" {
 		disk = faults.NewDiskFS(nil)
 		fs = disk
 	}

@@ -72,8 +72,13 @@ var (
 
 // Log is an append-only evidence store.
 type Log interface {
-	// Append records evidence and returns the stored entry.
+	// Append records evidence and returns the stored entry. It is AppendSeq
+	// with RunSeq zero.
 	Append(runID, object, kind, party string, dir Direction, payload []byte) (Entry, error)
+	// AppendSeq records evidence tagged with the coordination run's proposal
+	// sequence number, so the record of a pipelined burst is indexed per
+	// sequence (see Entry.RunSeq).
+	AppendSeq(runID string, runSeq uint64, object, kind, party string, dir Direction, payload []byte) (Entry, error)
 	// Entries returns all entries in order.
 	Entries() ([]Entry, error)
 	// ByRun returns the entries belonging to one protocol run.
@@ -82,14 +87,6 @@ type Log interface {
 	Verify() error
 	// Len reports the number of entries.
 	Len() int
-}
-
-// SeqAppender is an optional Log extension: evidence tagged with the
-// coordination run's proposal sequence number, so the record of a pipelined
-// burst is indexed per sequence (see Entry.RunSeq). Both built-in logs
-// implement it; Append is AppendSeq with RunSeq zero.
-type SeqAppender interface {
-	AppendSeq(runID string, runSeq uint64, object, kind, party string, dir Direction, payload []byte) (Entry, error)
 }
 
 // BySeq filters entries down to one object's runs at one proposal sequence.
@@ -132,7 +129,7 @@ func (l *Memory) Append(runID, object, kind, party string, dir Direction, payloa
 	return l.AppendSeq(runID, 0, object, kind, party, dir, payload)
 }
 
-// AppendSeq implements SeqAppender.
+// AppendSeq implements Log.
 func (l *Memory) AppendSeq(runID string, runSeq uint64, object, kind, party string, dir Direction, payload []byte) (Entry, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -352,7 +349,7 @@ func (l *File) Append(runID, object, kind, party string, dir Direction, payload 
 	return l.AppendSeq(runID, 0, object, kind, party, dir, payload)
 }
 
-// AppendSeq implements SeqAppender.
+// AppendSeq implements Log.
 func (l *File) AppendSeq(runID string, runSeq uint64, object, kind, party string, dir Direction, payload []byte) (Entry, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -204,7 +204,7 @@ func (l *Segmented) Append(runID, object, kind, party string, dir Direction, pay
 	return l.AppendSeq(runID, 0, object, kind, party, dir, payload)
 }
 
-// AppendSeq implements SeqAppender. The durability wait happens outside
+// AppendSeq implements Log. The durability wait happens outside
 // appendMu so concurrent durable appenders still share group-commit
 // fsyncs.
 func (l *Segmented) AppendSeq(runID string, runSeq uint64, object, kind, party string, dir Direction, payload []byte) (Entry, error) {

@@ -20,7 +20,10 @@ func sampleCheckpoint(object string, seq uint64, state string) Checkpoint {
 	}
 }
 
-func testStoreSuite(t *testing.T, s Store) {
+// testStoreSuite runs the Store contract against s. chainOnly marks a store
+// with bounded retention (Segmented), whose History is documented to keep
+// only the reconstruction chain.
+func testStoreSuite(t *testing.T, s Store, chainOnly bool) {
 	t.Helper()
 
 	// No checkpoint yet.
@@ -44,7 +47,8 @@ func testStoreSuite(t *testing.T, s Store) {
 		t.Fatalf("members = %v", got.Members)
 	}
 
-	// Later checkpoint becomes Latest; history keeps both.
+	// Later checkpoint becomes Latest; history keeps both (a chain-only
+	// store keeps just the newer full snapshot).
 	cp2 := sampleCheckpoint("order", 2, "state-v2")
 	if err := s.SaveCheckpoint(cp2); err != nil {
 		t.Fatal(err)
@@ -60,7 +64,10 @@ func testStoreSuite(t *testing.T, s Store) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(hist) != 2 || hist[0].Tuple.Seq != 1 || hist[1].Tuple.Seq != 2 {
+	switch {
+	case chainOnly && (len(hist) != 1 || hist[0].Tuple.Seq != 2):
+		t.Fatalf("chain-only history = %+v", hist)
+	case !chainOnly && (len(hist) != 2 || hist[0].Tuple.Seq != 1 || hist[1].Tuple.Seq != 2):
 		t.Fatalf("history = %+v", hist)
 	}
 
@@ -113,41 +120,61 @@ func testStoreSuite(t *testing.T, s Store) {
 }
 
 func TestMemoryStore(t *testing.T) {
-	testStoreSuite(t, NewMemory())
+	testStoreSuite(t, NewMemory(), false)
 }
 
-func TestFileStore(t *testing.T) {
-	s, err := OpenFile(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	testStoreSuite(t, s)
+// storeCases are the stores the contract tests run against. reopen returns
+// the store as a recovering process sees it: the same handle for Memory, and
+// for "file" (the plane-backed Segmented store that WithFileStorage deploys)
+// a fresh Segmented over the same plane directory.
+var storeCases = []struct {
+	name string
+	open func(t *testing.T) (s Store, reopen func() Store)
+}{
+	{name: "memory", open: func(*testing.T) (Store, func() Store) {
+		s := NewMemory()
+		return s, func() Store { return s }
+	}},
+	{name: "file", open: func(t *testing.T) (Store, func() Store) {
+		dir := t.TempDir()
+		pl, s := openSegmented(t, dir, Policy{})
+		t.Cleanup(func() { _ = pl.Close() })
+		return s, func() Store {
+			if err := pl.Close(); err != nil {
+				t.Fatal(err)
+			}
+			pl, s = openSegmented(t, dir, Policy{})
+			return s
+		}
+	}},
 }
 
 func TestFileStoreSurvivesReopen(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenFile(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SaveCheckpoint(sampleCheckpoint("order", 1, "v1")); err != nil {
-		t.Fatal(err)
-	}
+	pl, s := openSegmented(t, dir, Policy{})
+	testStoreSuite(t, s, true)
 	if err := s.SaveRun(RunRecord{RunID: "run-9", Object: "order", Role: "recipient"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := pl.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	// Fresh handle over the same directory simulates crash+recovery.
-	s2, err := OpenFile(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pl2, s2 := openSegmented(t, dir, Policy{})
+	defer func() { _ = pl2.Close() }()
 	cp, err := s2.Latest("order")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(cp.State, []byte("v1")) {
-		t.Fatal("checkpoint lost across reopen")
+	if !bytes.Equal(cp.State, []byte("state-v2")) || cp.Tuple.Seq != 2 {
+		t.Fatalf("checkpoint lost across reopen: %+v", cp)
+	}
+	if hist, err := s2.History("order"); err != nil || len(hist) != 1 || hist[0].Tuple != cp.Tuple {
+		t.Fatalf("history across reopen = %+v (%v)", hist, err)
+	}
+	if game, err := s2.Latest("game"); err != nil || game.Tuple.Seq != 5 {
+		t.Fatalf("second object across reopen = %+v (%v)", game, err)
 	}
 	pend, err := s2.PendingRuns()
 	if err != nil {
@@ -155,23 +182,6 @@ func TestFileStoreSurvivesReopen(t *testing.T) {
 	}
 	if len(pend) != 1 || pend[0].RunID != "run-9" {
 		t.Fatalf("pending runs lost: %+v", pend)
-	}
-}
-
-func TestSanitize(t *testing.T) {
-	tests := []struct {
-		give string
-		want string
-	}{
-		{give: "order", want: "order"},
-		{give: "../../etc/passwd", want: ".._.._etc_passwd"},
-		{give: "run/1:2", want: "run_1_2"},
-		{give: "A-Z_0.9", want: "A-Z_0.9"},
-	}
-	for _, tt := range tests {
-		if got := sanitize(tt.give); got != tt.want {
-			t.Errorf("sanitize(%q) = %q, want %q", tt.give, got, tt.want)
-		}
 	}
 }
 
@@ -202,22 +212,17 @@ func TestRollbackScenario(t *testing.T) {
 }
 
 func TestRunRecordRawPersistence(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		s    Store
-	}{
-		{name: "memory", s: NewMemory()},
-		{name: "file", s: mustOpenFile(t)},
-	} {
+	for _, tc := range storeCases {
 		t.Run(tc.name, func(t *testing.T) {
+			s, reopen := tc.open(t)
 			raw := []byte("signed-propose-bytes")
-			if err := tc.s.SaveRun(RunRecord{
+			if err := s.SaveRun(RunRecord{
 				RunID: "r-raw", Object: "o", Role: "proposer",
 				Raw: raw, Auth: []byte("a"),
 			}); err != nil {
 				t.Fatal(err)
 			}
-			pend, err := tc.s.PendingRuns()
+			pend, err := reopen().PendingRuns()
 			if err != nil || len(pend) != 1 {
 				t.Fatalf("pending=%v err=%v", pend, err)
 			}
@@ -228,31 +233,10 @@ func TestRunRecordRawPersistence(t *testing.T) {
 	}
 }
 
-func mustOpenFile(t *testing.T) Store {
-	t.Helper()
-	s, err := OpenFile(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
-}
-
 func TestPendingRunsPipelineOrder(t *testing.T) {
-	for _, mk := range []struct {
-		name string
-		mk   func(t *testing.T) Store
-	}{
-		{name: "memory", mk: func(*testing.T) Store { return NewMemory() }},
-		{name: "file", mk: func(t *testing.T) Store {
-			s, err := OpenFile(t.TempDir())
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s
-		}},
-	} {
-		t.Run(mk.name, func(t *testing.T) {
-			s := mk.mk(t)
+	for _, tc := range storeCases {
+		t.Run(tc.name, func(t *testing.T) {
+			s, reopen := tc.open(t)
 			// Saved out of order, across two objects; PendingRuns must come
 			// back ordered by object then proposal sequence, with each
 			// record's predecessor tuple intact (pipeline recovery order).
@@ -267,7 +251,7 @@ func TestPendingRunsPipelineOrder(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			got, err := s.PendingRuns()
+			got, err := reopen().PendingRuns()
 			if err != nil {
 				t.Fatal(err)
 			}

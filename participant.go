@@ -122,7 +122,6 @@ type participantOpts struct {
 	ttp              string
 	storageDir       string
 	durability       DurabilityPolicy
-	legacyStorage    bool
 	transfer         TransferPolicy
 	paging           PagingPolicy
 	retryInterval    time.Duration
@@ -188,15 +187,6 @@ type DurabilityPolicy = store.Policy
 // with WithFileStorage).
 func WithDurability(p DurabilityPolicy) Option {
 	return func(o *participantOpts) { o.durability = p }
-}
-
-// WithLegacyStorage selects the pre-plane storage layout under
-// WithFileStorage's dir: one JSON file per checkpoint history / run record
-// / evidence log, fsynced per event, unbounded growth. It exists as the
-// measured baseline for the durability plane (cmd/b2bbench -exp E17) and
-// for reading old deployments' state; new deployments should not use it.
-func WithLegacyStorage() Option {
-	return func(o *participantOpts) { o.legacyStorage = true }
 }
 
 // TransferPolicy tunes the state-transfer plane: the chunk size and
@@ -333,18 +323,7 @@ func NewParticipant(ident *crypto.Identity, td *TrustDomain, conn core.Conn, opt
 	var st store.Store
 	var plane *store.Plane
 	var segLog *nrlog.Segmented
-	switch {
-	case o.storageDir != "" && o.legacyStorage:
-		fl, err := nrlog.OpenFile(filepath.Join(o.storageDir, ident.ID()+".nrlog"), o.clk)
-		if err != nil {
-			return nil, err
-		}
-		fs, err := store.OpenFile(filepath.Join(o.storageDir, ident.ID()+".store"))
-		if err != nil {
-			return nil, err
-		}
-		log, st = fl, fs
-	case o.storageDir != "":
+	if o.storageDir != "" {
 		pl, err := store.OpenPlane(filepath.Join(o.storageDir, ident.ID()+".wal"), o.durability, nil)
 		if err != nil {
 			return nil, err
@@ -356,7 +335,7 @@ func NewParticipant(ident *crypto.Identity, td *TrustDomain, conn core.Conn, opt
 			return nil, err
 		}
 		plane = pl
-	default:
+	} else {
 		log, st = nrlog.NewMemory(o.clk), store.NewMemory()
 	}
 
