@@ -243,14 +243,19 @@ func BenchmarkPipelinedThroughput(b *testing.B) {
 // what the acceptance bars measure: hashed-B/run and copied-B/run, summed
 // over every member (the counters are process-global and both members run in
 // this process). Bars: paged improves both by >= 10x at 16 MiB, and paged
-// per-run cost stays ~flat from 1 to 16 MiB while flat grows linearly.
+// per-run cost stays ~flat from 1 to 16 MiB while flat grows linearly. The
+// flat-validator variant keeps 4 KiB pages but drives the patch validator
+// through the flat Validator shim, the path of every b2b.UpdatableObject:
+// its copies grow with the object, its hashing must not.
 func BenchmarkLargeObjectSmallUpdate(b *testing.B) {
 	for _, mode := range []struct {
 		name     string
 		pageSize func(objSize int) int
+		world    func(lab.Options, string, int) (*lab.World, error)
 	}{
-		{name: "paged", pageSize: func(int) int { return 0 }}, // default 4 KiB
-		{name: "flat", pageSize: func(s int) int { return s }},
+		{name: "paged", pageSize: func(int) int { return 0 }, world: lab.NewPatchWorld}, // default 4 KiB
+		{name: "flat", pageSize: func(s int) int { return s }, world: lab.NewPatchWorld},
+		{name: "flat-validator", pageSize: func(int) int { return 0 }, world: lab.NewFlatPatchWorld},
 	} {
 		for _, size := range []int{1 << 20, 4 << 20, 16 << 20} {
 			b.Run(fmt.Sprintf("%s/size=%dMiB", mode.name, size>>20), func(b *testing.B) {
@@ -258,7 +263,7 @@ func BenchmarkLargeObjectSmallUpdate(b *testing.B) {
 				// with b2bbench -exp E19 (lab.NewPatchWorld /
 				// lab.DrivePatchRuns) so the go-bench numbers and the CI
 				// bars always measure the same workload.
-				w, err := lab.NewPatchWorld(lab.Options{Seed: 19, PageSize: mode.pageSize(size)}, "obj", size)
+				w, err := mode.world(lab.Options{Seed: 19, PageSize: mode.pageSize(size)}, "obj", size)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -44,6 +44,19 @@ func AppendFrame(dst, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
+// SealFrame writes the frame header in place: frame holds FrameOverhead
+// reserved bytes followed by the payload, so a caller that builds the
+// payload directly behind the header frames a record with no second buffer.
+// The result is byte-identical to AppendFrame(nil, frame[FrameOverhead:]).
+func SealFrame(frame []byte) {
+	payload := frame[FrameOverhead:]
+	if len(payload) > maxLen {
+		panic(fmt.Sprintf("canon: frame payload %d exceeds limit", len(payload)))
+	}
+	binary.BigEndian.PutUint32(frame, uint32(len(payload)))
+	binary.BigEndian.PutUint32(frame[4:], crc32.Checksum(payload, castagnoli))
+}
+
 // ReadFrame consumes one framed record from buf, returning the payload and
 // the remaining bytes. The payload aliases buf; callers that retain it past
 // the buffer's lifetime must copy. A short or checksum-failing frame returns

@@ -55,3 +55,14 @@ func TestFrameTornAndCorrupt(t *testing.T) {
 		t.Fatalf("corrupt length: %v, want ErrFrameTorn", err)
 	}
 }
+
+func TestSealFrameMatchesAppendFrame(t *testing.T) {
+	for _, p := range [][]byte{{}, []byte("k"), bytes.Repeat([]byte{0x5A}, 4099)} {
+		frame := make([]byte, FrameOverhead+len(p))
+		copy(frame[FrameOverhead:], p)
+		SealFrame(frame)
+		if want := AppendFrame(nil, p); !bytes.Equal(frame, want) {
+			t.Fatalf("%d-byte payload: sealed % x, appended % x", len(p), frame[:FrameOverhead], want[:FrameOverhead])
+		}
+	}
+}

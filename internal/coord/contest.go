@@ -663,6 +663,7 @@ func (en *Engine) resolveContest(pred tuple.State) {
 	// A full snapshot re-anchors the checkpoint chain: the branch switch
 	// invalidates any delta chained through the losing tuple.
 	cpErr := en.checkpointLocked()
+	en.installing++
 	en.mu.Unlock()
 
 	_ = en.logEvidenceSeq(win.prop.RunID, winTup.Seq, "tie-break-install", nrlog.DirLocal,
@@ -676,6 +677,7 @@ func (en *Engine) resolveContest(pred tuple.State) {
 		}
 		en.notifyInstalled(st, winTup)
 	}
+	en.installDone()
 	en.finishRollbacks(rolled)
 	en.dispatchProps(wakeProps)
 	en.dispatchCommits(wakeCommits)

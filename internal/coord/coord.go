@@ -267,6 +267,11 @@ type Engine struct {
 
 	runs      map[string]*proposerRun // in-flight, this party proposing
 	responded map[string]*respondedRun
+	// installing counts installs decided under en.mu (a received commit or
+	// a won contest) whose upcall has not returned yet: the run has left
+	// responded, but the application has not seen its state, so the party
+	// is not quiescent.
+	installing int
 	// completed caches finished runs' outcomes for idempotent handling of
 	// duplicate commits and Outcome lookups. It is bounded (FIFO eviction
 	// at completedCap) so a long-running party's memory does not grow with

@@ -11,8 +11,10 @@ import (
 // (pagestate.Paged) instead of flat bytes, so applying and validating a
 // small update on a large object costs O(delta · log S) — no materialized
 // full-state copies. Validators that only implement Validator keep working
-// unchanged: the engine shims between the two forms by materializing flat
-// copies, which is correct but O(S) per call.
+// unchanged: the engine shims between the two forms by materializing a flat
+// copy of the base and re-paging the flat result against it, which costs
+// O(S) in byte copies and compares but only O(delta · log S) in hashing and
+// page allocation (pagestate.Paged.Rebase).
 //
 // Contract: a *pagestate.Paged received through this interface is shared and
 // immutable — implementations must mutate only a Clone (pagestate's
@@ -52,16 +54,24 @@ func (en *Engine) pageState(b []byte) *pagestate.Paged {
 
 // applyUpdateOn folds an update into a paged base: through the validator's
 // paged path when available (O(delta)), else through the flat ApplyUpdate
-// compatibility shim (O(S) materialize + repage, semantics identical).
+// compatibility shim on a fresh flat copy of base.
 func (en *Engine) applyUpdateOn(base *pagestate.Paged, update []byte) (*pagestate.Paged, error) {
 	if en.pv != nil {
 		return en.pv.ApplyUpdatePaged(base, update)
 	}
-	flat, err := en.cfg.Validator.ApplyUpdate(base.Bytes(), update)
+	return en.applyUpdateFlat(base, base.Bytes(), update)
+}
+
+// applyUpdateFlat is the flat shim: flat holds base's bytes and is handed to
+// the validator's ApplyUpdate as current. The result is re-paged against
+// base, so unchanged pages stay shared and only the edited ones are copied
+// and rehashed (O(S) compares, O(delta · log S) hashing).
+func (en *Engine) applyUpdateFlat(base *pagestate.Paged, flat, update []byte) (*pagestate.Paged, error) {
+	next, err := en.cfg.Validator.ApplyUpdate(flat, update)
 	if err != nil {
 		return nil, err
 	}
-	return en.pageState(flat), nil
+	return base.Rebase(next), nil
 }
 
 // ApplyUpdatePagedFn exposes the paged update fold for the transfer plane,
@@ -79,12 +89,19 @@ func (en *Engine) validateStateOn(proposer string, base *pagestate.Paged, propos
 	return en.cfg.Validator.ValidateState(proposer, base.Bytes(), proposed)
 }
 
-// validateUpdateOn dispatches update validation.
-func (en *Engine) validateUpdateOn(proposer string, base *pagestate.Paged, update []byte) wire.Decision {
+// validateUpdateOn dispatches update validation. flat is the copy of base
+// the flat shim already handed to ApplyUpdate (nil on the paged path). It is
+// reused unless the validator wrote into it: ValidateUpdate must always see
+// the unmodified base, so a scribbled copy is re-materialized (the O(S)
+// compare is far cheaper than a second copy on every run).
+func (en *Engine) validateUpdateOn(proposer string, base *pagestate.Paged, flat, update []byte) wire.Decision {
 	if en.pv != nil {
 		return en.pv.ValidateUpdatePaged(proposer, base, update)
 	}
-	return en.cfg.Validator.ValidateUpdate(proposer, base.Bytes(), update)
+	if !base.Equal(flat) {
+		flat = base.Bytes()
+	}
+	return en.cfg.Validator.ValidateUpdate(proposer, flat, update)
 }
 
 // notifyInstalled dispatches the install upcall.

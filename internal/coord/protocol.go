@@ -896,6 +896,7 @@ func (en *Engine) evaluatePropose(from string, signed wire.Signed, prop wire.Pro
 	}
 
 	var newState *pagestate.Paged
+	var flatBase []byte
 	switch prop.Mode {
 	case wire.ModeOverwrite:
 		if !prop.Proposed.MatchesRoot(recvHash) {
@@ -906,7 +907,15 @@ func (en *Engine) evaluatePropose(from string, signed wire.Signed, prop wire.Pro
 		if crypto.Hash(prop.Update) != prop.UpdateHash {
 			return wire.Rejected("update does not match its hash"), nil
 		}
-		applied, err := en.applyUpdateOn(base, prop.Update)
+		var applied *pagestate.Paged
+		var err error
+		if en.pv != nil {
+			applied, err = en.pv.ApplyUpdatePaged(base, prop.Update)
+		} else {
+			// The flat shim materializes base once for both upcalls.
+			flatBase = base.Bytes()
+			applied, err = en.applyUpdateFlat(base, flatBase, prop.Update)
+		}
 		if err != nil {
 			return wire.Rejected(fmt.Sprintf("update not applicable: %v", err)), nil
 		}
@@ -923,7 +932,7 @@ func (en *Engine) evaluatePropose(from string, signed wire.Signed, prop wire.Pro
 
 	var decision wire.Decision
 	if prop.Mode == wire.ModeUpdate {
-		decision = en.validateUpdateOn(prop.Proposer, base, prop.Update)
+		decision = en.validateUpdateOn(prop.Proposer, base, flatBase, prop.Update)
 	} else {
 		decision = en.validateStateOn(prop.Proposer, base, prop.NewState)
 	}
@@ -1165,6 +1174,7 @@ func (en *Engine) handleCommit(from string, payload []byte) {
 		cpErr = en.commitCheckpointLocked(prop.Mode, prop.Update, rr.pred)
 		wakeProps = takeWaitingLocked(en.waitProps, prop.Proposed)
 		wakeCommits = takeWaitingLocked(en.waitCommits, prop.Proposed)
+		en.installing++
 	}
 	delete(en.responded, commit.RunID)
 	delete(en.propWaited, commit.RunID)
@@ -1186,6 +1196,7 @@ func (en *Engine) handleCommit(from string, payload []byte) {
 		if cpErr == nil && en.barrier() == nil {
 			en.notifyInstalled(installedState, installedTuple)
 		}
+		en.installDone()
 	}
 	_ = en.logEvidenceStaged(commit.RunID, seq, "verdict", nrlog.DirLocal,
 		[]byte(fmt.Sprintf("valid=%t %s", out.Valid, out.Diagnostic)))
@@ -1415,8 +1426,18 @@ func (en *Engine) pendingGrace() time.Duration {
 	return time.Second
 }
 
+// installDone ends an install counted in en.installing, once its upcall has
+// returned (or was skipped), and wakes the quiescence waiters.
+func (en *Engine) installDone() {
+	en.mu.Lock()
+	en.installing--
+	en.notifyChangedLocked()
+	en.mu.Unlock()
+}
+
 // waitNoPending blocks until this party holds no answered-but-uncommitted
-// runs, or ctx expires.
+// runs and no resolved commit still awaits its install upcall, or ctx
+// expires.
 func (en *Engine) waitNoPending(ctx context.Context) error {
 	for {
 		// Grab the change channel before reading state: a transition that
@@ -1424,7 +1445,7 @@ func (en *Engine) waitNoPending(ctx context.Context) error {
 		// channel, so the wakeup cannot be missed.
 		en.mu.Lock()
 		ch := en.changed
-		n := len(en.responded)
+		n := len(en.responded) + en.installing
 		en.mu.Unlock()
 		if n == 0 {
 			return nil
@@ -1438,9 +1459,10 @@ func (en *Engine) waitNoPending(ctx context.Context) error {
 }
 
 // WaitQuiescent blocks until this party holds no answered-but-uncommitted
-// runs (all validated changes have been installed or discarded), or ctx
-// expires. Applications call this (via the controller's Settle) before
-// acting on the replica when another party has just coordinated a change.
+// runs and every validated change has been installed into the application
+// (its Installed upcall returned) or discarded, or ctx expires.
+// Applications call this (via the controller's Settle) before acting on the
+// replica when another party has just coordinated a change.
 func (en *Engine) WaitQuiescent(ctx context.Context) error {
 	return en.waitNoPending(ctx)
 }

@@ -802,17 +802,33 @@ func (acceptAll) ValidateUpdatePaged(string, *pagestate.Paged, []byte) wire.Deci
 func (acceptAll) InstalledPaged(*pagestate.Paged, tuple.State)  {}
 func (acceptAll) RolledBackPaged(*pagestate.Paged, tuple.State) {}
 
+// flatOnly hides every method of its validator beyond coord.Validator, so
+// the engine drives it through the flat-bytes shim even when it also
+// implements coord.PagedValidator. That shim is the path every
+// b2b.UpdatableObject takes (the public API has no paged upcalls).
+type flatOnly struct{ coord.Validator }
+
 // NewPatchWorld builds the canonical large-object patch workload fixture: a
 // two-party world ("org00" proposes, "org01" receives) bound to one
 // PatchValidator object of size bytes, bootstrapped and ready to drive.
 // Shared by BenchmarkLargeObjectSmallUpdate and b2bbench -exp E19 so the
 // benchmark and the CI bar always measure the same workload.
 func NewPatchWorld(opts Options, object string, size int) (*World, error) {
+	return newPatchWorld(opts, object, size, PatchValidator())
+}
+
+// NewFlatPatchWorld is NewPatchWorld with the patch validator reachable
+// only through coord.Validator: the same workload through the flat shim.
+func NewFlatPatchWorld(opts Options, object string, size int) (*World, error) {
+	return newPatchWorld(opts, object, size, flatOnly{PatchValidator()})
+}
+
+func newPatchWorld(opts Options, object string, size int, v coord.Validator) (*World, error) {
 	w, err := NewWorld(opts, "org00", "org01")
 	if err != nil {
 		return nil, err
 	}
-	if err := w.Bind(object, func(string) coord.Validator { return PatchValidator() }, nil); err != nil {
+	if err := w.Bind(object, func(string) coord.Validator { return v }, nil); err != nil {
 		w.Close()
 		return nil, err
 	}

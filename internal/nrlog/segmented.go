@@ -112,20 +112,20 @@ func decodeAnchor(payload []byte) (Anchor, error) {
 }
 
 func encodeEntry(e Entry) []byte {
-	enc := canon.NewEncoder()
-	enc.Struct("nrlog-entry")
-	enc.Uint64(e.Seq)
-	enc.Uint64(e.RunSeq)
-	enc.Bytes32(e.PrevHash)
-	enc.Bytes32(e.Hash)
-	enc.Time(e.Time)
-	enc.String(e.RunID)
-	enc.String(e.Object)
-	enc.String(e.Kind)
-	enc.String(e.Party)
-	enc.String(string(e.Direction))
-	enc.Bytes(e.Payload)
-	return append([]byte(nil), enc.Out()...)
+	return canon.Marshal(func(enc *canon.Encoder) {
+		enc.Struct("nrlog-entry")
+		enc.Uint64(e.Seq)
+		enc.Uint64(e.RunSeq)
+		enc.Bytes32(e.PrevHash)
+		enc.Bytes32(e.Hash)
+		enc.Time(e.Time)
+		enc.String(e.RunID)
+		enc.String(e.Object)
+		enc.String(e.Kind)
+		enc.String(e.Party)
+		enc.String(string(e.Direction))
+		enc.Bytes(e.Payload)
+	})
 }
 
 func decodeEntry(payload []byte) (Entry, error) {

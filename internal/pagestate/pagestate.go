@@ -33,6 +33,7 @@
 package pagestate
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sync/atomic"
@@ -324,6 +325,44 @@ func (p *Paged) WriteAt(off int, data []byte) error {
 	}
 	p.root = wrapRoot(p.mth(), p.size, p.pageSize)
 	return nil
+}
+
+// Rebase returns the paged form of flat, which is typically the receiver's
+// state after a small edit made by code that only speaks flat bytes (the
+// coord.Validator shim). Every page of the receiver whose bytes flat
+// repeats stays shared; only the pages that differ are copied and rehashed,
+// so the cost is O(S) byte compares plus O(delta · log S) hashing. A length
+// change falls back to FromBytes. Neither the receiver nor flat is retained
+// or modified: the result owns copies of every page it does not share.
+func (p *Paged) Rebase(flat []byte) *Paged {
+	if len(flat) != p.size {
+		return FromBytes(flat, p.pageSize)
+	}
+	out := p.Clone()
+	for i, pg := range p.pages {
+		lo := i * p.pageSize
+		if bytes.Equal(pg, flat[lo:lo+len(pg)]) {
+			continue
+		}
+		// In bounds by construction: the page lies inside the state.
+		_ = out.WriteAt(lo, flat[lo:lo+len(pg)])
+	}
+	return out
+}
+
+// Equal reports whether flat holds exactly the receiver's state bytes:
+// O(S) compares, no hashing and no allocation.
+func (p *Paged) Equal(flat []byte) bool {
+	if len(flat) != p.size {
+		return false
+	}
+	for i, pg := range p.pages {
+		lo := i * p.pageSize
+		if !bytes.Equal(pg, flat[lo:lo+len(pg)]) {
+			return false
+		}
+	}
+	return true
 }
 
 // setLeaf installs a recomputed leaf hash and rehashes its path to the top:

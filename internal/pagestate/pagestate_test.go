@@ -228,3 +228,107 @@ func TestStatsCounters(t *testing.T) {
 		t.Fatalf("64 B write cost hashed=%d copied=%d bytes — not O(delta)", hashed, copied)
 	}
 }
+
+// checkRebase asserts Rebase's contract for one (base, flat) pair: the
+// result is exactly FromBytes(flat), the receiver is untouched, every page
+// flat repeats stays physically shared, and no page of the result aliases
+// flat.
+func checkRebase(t *testing.T, base, flat []byte, pageSize int) {
+	t.Helper()
+	p := FromBytes(base, pageSize)
+	rootBefore := p.Root()
+	pagesBefore := append([][]byte(nil), p.pages...)
+	q := p.Rebase(flat)
+
+	if q.Root() != FromBytes(flat, pageSize).Root() {
+		t.Fatalf("Rebase root differs from FromBytes (base %d B, flat %d B, page %d)", len(base), len(flat), pageSize)
+	}
+	if !bytes.Equal(q.Bytes(), flat) {
+		t.Fatal("Rebase bytes differ from flat")
+	}
+	if p.Root() != rootBefore || !bytes.Equal(p.Bytes(), base) || p.Root() != FromBytes(base, pageSize).Root() {
+		t.Fatal("Rebase modified its receiver")
+	}
+	for i, pg := range pagesBefore {
+		if &p.pages[i][0] != &pg[0] {
+			t.Fatalf("Rebase replaced receiver page %d", i)
+		}
+	}
+	if p.Equal(flat) != bytes.Equal(base, flat) || !p.Equal(base) || !q.Equal(flat) {
+		t.Fatal("Equal disagrees with bytes.Equal")
+	}
+	if len(flat) == len(base) {
+		for i, pg := range p.pages {
+			lo := i * pageSize
+			shared := &q.pages[i][0] == &pg[0]
+			if same := bytes.Equal(pg, flat[lo:lo+len(pg)]); shared != same {
+				t.Fatalf("page %d: shared=%t, content unchanged=%t", i, shared, same)
+			}
+		}
+	}
+	// No page aliases flat: scribbling over flat leaves the result intact.
+	want := append([]byte(nil), flat...)
+	for i := range flat {
+		flat[i] ^= 0xFF
+	}
+	if !bytes.Equal(q.Bytes(), want) || q.Root() != FromBytes(want, pageSize).Root() {
+		t.Fatal("Rebase result aliases its argument")
+	}
+	copy(flat, want)
+}
+
+func TestRebaseProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for iter := 0; iter < 300; iter++ {
+		pageSize := []int{1, 7, 64, 4096}[rng.Intn(4)]
+		base := make([]byte, rng.Intn(5*pageSize+3))
+		rng.Read(base)
+		flat := append([]byte(nil), base...)
+		switch iter % 5 {
+		case 0: // identical input: every page shared, nothing rehashed
+		case 1: // single-byte diff
+			if len(flat) > 0 {
+				flat[rng.Intn(len(flat))]++
+			}
+		case 2: // scattered diffs
+			for n := rng.Intn(4); n >= 0 && len(flat) > 0; n-- {
+				flat[rng.Intn(len(flat))] ^= byte(1 + rng.Intn(255))
+			}
+		case 3: // longer
+			extra := make([]byte, 1+rng.Intn(2*pageSize))
+			rng.Read(extra)
+			flat = append(flat, extra...)
+		case 4: // shorter
+			flat = flat[:rng.Intn(len(flat)+1)]
+		}
+		checkRebase(t, base, flat, pageSize)
+	}
+}
+
+// TestRebaseHashesOnlyChangedPages: a one-byte edit of a 1 MiB state
+// rehashes one page plus its root path, not the state.
+func TestRebaseHashesOnlyChangedPages(t *testing.T) {
+	base := make([]byte, 1<<20)
+	p := FromBytes(base, DefaultPageSize)
+	flat := p.Bytes()
+	flat[123457] = 1
+	h0, _ := Stats()
+	q := p.Rebase(flat)
+	h1, _ := Stats()
+	if hashed := h1 - h0; hashed > 2*DefaultPageSize {
+		t.Fatalf("Rebase of a 1-byte edit hashed %d bytes", hashed)
+	}
+	if q.Root() != FromBytes(flat, DefaultPageSize).Root() {
+		t.Fatal("root mismatch")
+	}
+}
+
+func FuzzRebase(f *testing.F) {
+	f.Add([]byte("0123456789abcdef"), []byte("0123456789abcdeX"), uint8(3))
+	f.Add([]byte("same bytes"), []byte("same bytes"), uint8(0))
+	f.Add([]byte("short"), []byte("a longer state"), uint8(2))
+	f.Add([]byte{}, []byte{1}, uint8(9))
+	f.Fuzz(func(t *testing.T, base, flat []byte, ps uint8) {
+		checkRebase(t, base, flat, 1+int(ps%64))
+	})
+}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -418,17 +419,25 @@ func (p *Plane) failLocked(err error) error {
 	return err
 }
 
+// appendRecord appends one framed WAL record, [kind][payload], to dst. The
+// record is built in place behind its frame header, so the payload is copied
+// once.
+func appendRecord(dst []byte, kind RecordKind, payload []byte) []byte {
+	start := len(dst)
+	dst = slices.Grow(dst, canon.FrameOverhead+1+len(payload))
+	dst = append(dst[:start+canon.FrameOverhead], byte(kind))
+	dst = append(dst, payload...)
+	canon.SealFrame(dst[start:])
+	return dst
+}
+
 // appendLocked writes one framed record to the active segment, rotating and
 // compacting as the policy dictates; returns the record's LSN.
 func (p *Plane) appendLocked(kind RecordKind, payload []byte) (uint64, error) {
 	if !p.started || p.closed {
 		return 0, ErrPlaneClosed
 	}
-	buf := make([]byte, 0, len(payload)+canon.FrameOverhead+1)
-	rec := make([]byte, 0, len(payload)+1)
-	rec = append(rec, byte(kind))
-	rec = append(rec, payload...)
-	buf = canon.AppendFrame(buf, rec)
+	buf := appendRecord(nil, kind, payload)
 	if _, err := p.active.Write(buf); err != nil {
 		return 0, p.failLocked(fmt.Errorf("store: appending record: %w", err))
 	}
@@ -539,17 +548,10 @@ func (p *Plane) compactLocked() error {
 	}
 	p.segs[len(p.segs)-1].index = actIdx + 1
 
-	var buf []byte
-	rec := func(kind RecordKind, payload []byte) {
-		r := make([]byte, 0, len(payload)+1)
-		r = append(r, byte(kind))
-		r = append(r, payload...)
-		buf = canon.AppendFrame(buf, r)
-	}
-	rec(RecCompactionPoint, nil)
+	buf := appendRecord(nil, RecCompactionPoint, nil)
 	var emitErr error
 	emit := func(kind RecordKind, payload []byte) error {
-		rec(kind, payload)
+		buf = appendRecord(buf, kind, payload)
 		return nil
 	}
 	for _, c := range p.consumers {

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"b2b/internal/canon"
 )
 
 // recConsumer is a minimal plane consumer: it records every payload of its
@@ -269,5 +271,22 @@ func TestPlaneClosedFails(t *testing.T) {
 	}
 	if err := pl.Append(RecCheckpoint, []byte("x")); !errors.Is(err, ErrPlaneClosed) {
 		t.Fatalf("append after close: %v, want ErrPlaneClosed", err)
+	}
+}
+
+// TestAppendRecordFormat: a WAL record framed in place is byte-identical to
+// the reference framing of [kind][payload], appended or standalone.
+func TestAppendRecordFormat(t *testing.T) {
+	var got, want []byte
+	for i, payload := range [][]byte{nil, []byte("p"), bytes.Repeat([]byte{0xC3}, 70_000)} {
+		kind := RecordKind(i + 1)
+		got = appendRecord(got, kind, payload)
+		want = canon.AppendFrame(want, append([]byte{byte(kind)}, payload...))
+		if !bytes.Equal(got, want) {
+			t.Fatalf("record %d: framing differs from canon.AppendFrame", i)
+		}
+		if one := appendRecord(nil, kind, payload); !bytes.Equal(one, want[len(want)-len(one):]) {
+			t.Fatalf("record %d: standalone framing differs", i)
+		}
 	}
 }

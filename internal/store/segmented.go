@@ -37,18 +37,18 @@ func NewSegmented(pl *Plane) *Segmented {
 
 // encodeCheckpoint produces the canonical WAL payload of a checkpoint.
 func encodeCheckpoint(cp Checkpoint) []byte {
-	e := canon.NewEncoder()
-	e.Struct("checkpoint")
-	e.String(cp.Object)
-	cp.Tuple.Encode(e)
-	e.Bytes(cp.State)
-	cp.Group.Encode(e)
-	e.Strings(cp.Members)
-	e.Time(cp.Time)
-	e.Bool(cp.Delta)
-	e.Bytes(cp.Update)
-	cp.Pred.Encode(e)
-	return append([]byte(nil), e.Out()...)
+	return canon.Marshal(func(e *canon.Encoder) {
+		e.Struct("checkpoint")
+		e.String(cp.Object)
+		cp.Tuple.Encode(e)
+		e.Bytes(cp.State)
+		cp.Group.Encode(e)
+		e.Strings(cp.Members)
+		e.Time(cp.Time)
+		e.Bool(cp.Delta)
+		e.Bytes(cp.Update)
+		cp.Pred.Encode(e)
+	})
 }
 
 func decodeCheckpoint(payload []byte) (Checkpoint, error) {
@@ -72,18 +72,18 @@ func decodeCheckpoint(payload []byte) (Checkpoint, error) {
 
 // encodeRun produces the canonical WAL payload of a run record.
 func encodeRun(r RunRecord) []byte {
-	e := canon.NewEncoder()
-	e.Struct("run")
-	e.String(r.RunID)
-	e.String(r.Object)
-	e.String(r.Role)
-	r.Proposed.Encode(e)
-	r.Pred.Encode(e)
-	e.Bytes(r.State)
-	e.Bytes(r.Auth)
-	e.Bytes(r.Raw)
-	e.Time(r.Time)
-	return append([]byte(nil), e.Out()...)
+	return canon.Marshal(func(e *canon.Encoder) {
+		e.Struct("run")
+		e.String(r.RunID)
+		e.String(r.Object)
+		e.String(r.Role)
+		r.Proposed.Encode(e)
+		r.Pred.Encode(e)
+		e.Bytes(r.State)
+		e.Bytes(r.Auth)
+		e.Bytes(r.Raw)
+		e.Time(r.Time)
+	})
 }
 
 func decodeRun(payload []byte) (RunRecord, error) {
@@ -106,10 +106,10 @@ func decodeRun(payload []byte) (RunRecord, error) {
 }
 
 func encodeRunDelete(runID string) []byte {
-	e := canon.NewEncoder()
-	e.Struct("run-delete")
-	e.String(runID)
-	return append([]byte(nil), e.Out()...)
+	return canon.Marshal(func(e *canon.Encoder) {
+		e.Struct("run-delete")
+		e.String(runID)
+	})
 }
 
 func decodeRunDelete(payload []byte) (string, error) {

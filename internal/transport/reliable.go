@@ -223,6 +223,23 @@ type Reliable struct {
 	stop chan struct{}
 	wg   sync.WaitGroup
 	ctr  atomic.Uint64
+
+	retransmits atomic.Uint64 // data frames the sweep put back on the wire
+	duplicates  atomic.Uint64 // data frames received after their first delivery
+}
+
+// ReliableStats counts the reliable layer's redundant traffic. On a healthy
+// link both stay near zero; Retransmits far above Duplicates means frames
+// or acks are being lost, Duplicates close to Retransmits means acks arrive
+// after the retry floor and the resends were wasted.
+type ReliableStats struct {
+	Retransmits uint64 // data frames resent by the retransmit sweep
+	Duplicates  uint64 // data frames received again and suppressed
+}
+
+// Stats returns the cumulative retransmission counters.
+func (r *Reliable) Stats() ReliableStats {
+	return ReliableStats{Retransmits: r.retransmits.Load(), Duplicates: r.duplicates.Load()}
 }
 
 // peerBackoff is one peer's retransmission pacing state.
@@ -607,6 +624,7 @@ func (r *Reliable) retransmitLoop() {
 				}
 				r.sentAt[rec.MsgID] = now
 				byPeer[rec.To] = append(byPeer[rec.To], encodeRel(relData, rec.MsgID, rec.Payload))
+				r.retransmits.Add(1)
 			}
 			for to := range byPeer {
 				pb := r.backoff[to]
@@ -711,6 +729,7 @@ func (r *Reliable) ackAndMark(from, msgID string) (key string, isNew bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, dup := r.seen[key]; dup {
+		r.duplicates.Add(1)
 		return key, false
 	}
 	r.seen[key] = struct{}{}

@@ -256,6 +256,59 @@ func TestReliableOnceOnlyUnderLossAndDuplication(t *testing.T) {
 	}
 }
 
+// TestReliableCountsRetransmitsAndDuplicates: on a lossy link every lost
+// data frame or ack costs a retransmission, and every retransmission whose
+// first copy did arrive reaches the receiver as a suppressed duplicate. With
+// no duplication on the network, duplicates can only come from resends.
+func TestReliableCountsRetransmitsAndDuplicates(t *testing.T) {
+	nw := NewNetwork(99)
+	defer nw.Close()
+	nw.SetDefaultFaults(Faults{DropProb: 0.5})
+	ra, err := NewReliable(nw.Endpoint("a"), WithRetryInterval(2*time.Millisecond), WithRetryBackoff(4*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = ra.Close() }()
+	rb, err := NewReliable(nw.Endpoint("b"), WithRetryInterval(2*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = rb.Close() }()
+	var got collector
+	rb.SetHandler(got.handler)
+
+	const n = 40
+	for i := 0; i < n; i++ {
+		if err := ra.Send(context.Background(), "b", []byte(fmt.Sprintf("m%03d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got.waitFor(t, n, 10*time.Second)
+	deadline := time.Now().Add(10 * time.Second)
+	for ra.Pending() > 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if ra.Pending() != 0 {
+		t.Fatalf("outbox not drained: %d pending", ra.Pending())
+	}
+	sa, sb := ra.Stats(), rb.Stats()
+	if sa.Retransmits == 0 {
+		t.Fatal("no retransmissions counted on a 50% lossy link")
+	}
+	if sb.Duplicates == 0 {
+		t.Fatal("no duplicates counted although half the acks were lost")
+	}
+	if sb.Duplicates > sa.Retransmits {
+		t.Fatalf("receiver counted %d duplicates for %d retransmissions", sb.Duplicates, sa.Retransmits)
+	}
+	if sa.Duplicates != 0 || sb.Retransmits != 0 {
+		t.Fatalf("one-way traffic counted sender duplicates %d, receiver retransmits %d", sa.Duplicates, sb.Retransmits)
+	}
+	if len(got.snapshot()) != n {
+		t.Fatalf("handler ran %d times for %d messages", len(got.snapshot()), n)
+	}
+}
+
 func TestReliableSendAndWait(t *testing.T) {
 	nw := NewNetwork(5)
 	defer nw.Close()

@@ -32,6 +32,14 @@ type Object interface {
 
 // UpdatableObject extends Object with delta coordination (§4.3.1): the
 // update, rather than the whole state, travels on the wire.
+//
+// Cost per coordinated update, at each party: the middleware keeps the
+// replica as hashed pages and flattens it for these calls, so ApplyUpdate
+// and ValidateUpdate see O(S) byte copies and compares (one flat copy of
+// the base shared by both, unless ApplyUpdate writes into current). The
+// result of ApplyUpdate is compared page by page with the base, and only
+// the pages it changed are copied and rehashed: hashing stays
+// O(delta · log S), not O(S).
 type UpdatableObject interface {
 	Object
 	// GetUpdate returns the pending local update to coordinate (called at

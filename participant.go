@@ -452,8 +452,10 @@ func NewParticipant(ident *crypto.Identity, td *TrustDomain, conn core.Conn, opt
 // registerMetrics publishes the participant's planes into its metrics
 // registry as callback gauges: coordination counters summed across bound
 // objects, transfer-plane counters likewise, durability-plane disk usage,
-// and the multi-tenant runtime's scheduler/quota state. Sampled only when a
-// snapshot or dump is taken — zero cost on the protocol hot path.
+// the reliable transport's retransmission counters (when the connection is
+// a transport.Reliable) and the multi-tenant runtime's scheduler/quota
+// state. Sampled only when a snapshot or dump is taken — zero cost on the
+// protocol hot path.
 func (p *Participant) registerMetrics() {
 	sumCoord := func(pick func(coord.Stats) uint64) func() int64 {
 		return func() int64 { return int64(pick(p.part.CoordStats())) }
@@ -474,6 +476,11 @@ func (p *Participant) registerMetrics() {
 	p.reg.SetFunc("xfer.bytes_fetched", sumXfer(func(s xfer.Stats) uint64 { return s.BytesFetched }))
 
 	p.reg.SetFunc("storage.disk_bytes", p.StorageUsage)
+
+	if rc, ok := p.conn.(*transport.Reliable); ok {
+		p.reg.SetFunc("transport.retransmits", func() int64 { return int64(rc.Stats().Retransmits) })
+		p.reg.SetFunc("transport.duplicates", func() int64 { return int64(rc.Stats().Duplicates) })
+	}
 
 	rt := func(pick func(RuntimeStats) int64) func() int64 {
 		return func() int64 { return pick(p.part.RuntimeStats()) }

@@ -2,11 +2,13 @@ package b2b_test
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	b2b "b2b"
+	"b2b/internal/transport"
 )
 
 // TestQuotasRefuseOversizedGroup: with WithQuotas, a group whose agreed
@@ -97,5 +99,42 @@ func TestRuntimeStatsAndMetrics(t *testing.T) {
 		if lines[i-1] >= lines[i] {
 			t.Fatalf("dump not sorted: %q before %q", lines[i-1], lines[i])
 		}
+	}
+}
+
+// TestTransportRetransmitMetrics: a participant on a reliable connection
+// publishes the reliable layer's retransmission and duplicate counters. On
+// a lossy network both move, and every duplicate a party suppressed was
+// resent by some party.
+func TestTransportRetransmitMetrics(t *testing.T) {
+	d := newDeployment(t, []string{"alpha", "beta"})
+	d.net.Underlying().SetDefaultFaults(transport.Faults{DropProb: 0.3})
+	ctrl := d.ctrls["alpha"]
+	for i := 0; i < 8; i++ {
+		ctrl.Enter()
+		d.docs["alpha"].Set("k", fmt.Sprint(i))
+		ctrl.Overwrite()
+		if err := ctrl.Leave(); err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+	}
+	d.waitDoc(t, "beta", "k", "7", 10*time.Second)
+
+	var retransmits, duplicates int64
+	for _, id := range []string{"alpha", "beta"} {
+		snap := d.parts[id].MetricsSnapshot()
+		for _, name := range []string{"transport.retransmits", "transport.duplicates"} {
+			if _, ok := snap[name]; !ok {
+				t.Fatalf("%s: metrics snapshot has no %s", id, name)
+			}
+		}
+		retransmits += snap["transport.retransmits"]
+		duplicates += snap["transport.duplicates"]
+	}
+	if retransmits == 0 || duplicates == 0 {
+		t.Fatalf("on a 30%% lossy network: retransmits=%d duplicates=%d, want both > 0", retransmits, duplicates)
+	}
+	if duplicates > retransmits {
+		t.Fatalf("%d duplicates suppressed but only %d frames resent", duplicates, retransmits)
 	}
 }
